@@ -310,3 +310,17 @@ func BenchmarkTauSCC(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCollapseTauSCCs measures the τ-SCC collapse (a linear-time
+// projection onto the components), the first derived LTS of every check.
+func BenchmarkCollapseTauSCCs(b *testing.B) {
+	l := buildLTS(b, "ms-queue", 2, 3, []int32{1})
+	scc := lts.TauSCCs(l)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if c, _ := lts.CollapseTauSCCs(l, scc); c.NumStates() != scc.NumComps {
+			b.Fatal("collapse lost components")
+		}
+	}
+}

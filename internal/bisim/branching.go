@@ -85,14 +85,9 @@ func branching(ctx context.Context, l *lts.LTS, divSensitive bool, ref Refiner) 
 	}
 	scc := lts.TauSCCs(l)
 	collapsed, stateOf := lts.CollapseTauSCCs(l, scc)
-	divergent := make([]bool, collapsed.NumStates())
-	if divSensitive {
-		for s := 0; s < l.NumStates(); s++ {
-			c := scc.Comp[s]
-			if scc.Divergent[c] {
-				divergent[c] = true
-			}
-		}
+	divergent := scc.Divergent // the collapsed states are the components
+	if !divSensitive {
+		divergent = make([]bool, collapsed.NumStates())
 	}
 	var cp *Partition
 	var err error

@@ -117,13 +117,9 @@ func ExplainContext(ctx context.Context, a, b *lts.LTS, k Kind) (*Explanation, b
 	}
 	scc := lts.TauSCCs(u)
 	collapsed, stateOf := lts.CollapseTauSCCs(u, scc)
-	divergent := make([]bool, collapsed.NumStates())
-	if k == KindDivBranching {
-		for s := 0; s < u.NumStates(); s++ {
-			if scc.Divergent[scc.Comp[s]] {
-				divergent[scc.Comp[s]] = true
-			}
-		}
+	divergent := scc.Divergent // the collapsed states are the components
+	if k != KindDivBranching {
+		divergent = make([]bool, collapsed.NumStates())
 	}
 	_, tree, err := splitterOnDAG(ctx, collapsed, divergent)
 	if err != nil {

@@ -10,31 +10,12 @@ import (
 // Quotient builds the quotient transition system Δ/P of Definition 5.1:
 // states are the blocks of p, visible transitions are kept between blocks
 // (including self-loops), and τ transitions are kept only when they cross
-// blocks — inert τ steps disappear. Diagnostic labels are preserved (the
-// first label seen per quotient edge wins), which keeps line-number
-// annotations such as "t1.L28" visible in quotient analyses.
+// blocks — inert τ steps disappear. It is the projection of l onto
+// p.BlockOf (lts.Project), so diagnostic labels are preserved (the first
+// label seen per quotient edge wins), which keeps line-number annotations
+// such as "t1.L28" visible in quotient analyses.
 func Quotient(l *lts.LTS, p *Partition) *lts.LTS {
-	b := lts.NewBuilder(l.Acts)
-	b.SetLabels(l.Labels)
-	b.AddStates(p.Num)
-	b.SetInit(int(p.BlockOf[l.Init]))
-	seen := make(map[uint64]struct{}, l.NumTransitions())
-	for s := 0; s < l.NumStates(); s++ {
-		bs := p.BlockOf[s]
-		for _, tr := range l.Succ(int32(s)) {
-			bd := p.BlockOf[tr.Dst]
-			if lts.IsTau(tr.Action) && bs == bd {
-				continue
-			}
-			key := uint64(uint32(bs))<<40 ^ uint64(uint32(bd))<<16 ^ uint64(uint16(tr.Action))
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			b.AddFull(int(bs), tr.Action, tr.Label, int(bd))
-		}
-	}
-	return b.Build()
+	return lts.Project(l, p.BlockOf, p.Num)
 }
 
 // ReduceBranching computes the branching bisimulation quotient Δ/≈ of l,

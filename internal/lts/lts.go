@@ -1,9 +1,6 @@
 package lts
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LabelID identifies an interned diagnostic label (e.g. "t1.L28") attached
 // to a transition. Labels never influence any equivalence; they only make
@@ -117,33 +114,82 @@ func (b *Builder) AddFull(src int, act ActionID, label LabelID, dst int) {
 }
 
 // Build finalizes the LTS. The builder must not be reused afterwards.
+// A stable counting sort groups the edges by source, so each state's
+// transitions keep their insertion order.
 func (b *Builder) Build() *LTS {
 	if b.n == 0 {
 		b.n = 1 // at least the initial state
 	}
-	sort.SliceStable(b.edges, func(i, j int) bool { return b.edges[i].src < b.edges[j].src })
-	l := &LTS{
-		Acts:      b.acts,
-		Labels:    b.labels,
-		Init:      b.init,
-		numStates: b.n,
-		offsets:   make([]int32, b.n+1),
-		edges:     make([]Transition, len(b.edges)),
+	offsets := make([]int32, b.n+1)
+	for _, e := range b.edges {
+		offsets[e.src+1]++
 	}
-	for i, e := range b.edges {
-		l.offsets[e.src+1]++
-		l.edges[i] = e.tr
+	for s := 1; s <= b.n; s++ {
+		offsets[s] += offsets[s-1] // offsets[s] is now the start of row s
 	}
-	for s := 0; s < b.n; s++ {
-		l.offsets[s+1] += l.offsets[s]
+	edges := make([]Transition, len(b.edges))
+	for _, e := range b.edges {
+		edges[offsets[e.src]] = e.tr
+		offsets[e.src]++ // a per-row cursor: ends at the start of row src+1
 	}
-	return l
+	copy(offsets[1:], offsets)
+	offsets[0] = 0
+	return &LTS{Acts: b.acts, Labels: b.labels, Init: b.init, numStates: b.n, offsets: offsets, edges: edges}
+}
+
+// Project maps l onto the classes 0..numClasses-1 of the state map classOf:
+// every edge s --a--> t becomes classOf[s] --a--> classOf[t], except that τ
+// edges inside one class are dropped, and the initial state is
+// classOf[l.Init]. A class's row lists the edges of its states in state
+// order and keeps only the first edge per exact (target, action) pair, in
+// that edge's position and with its label. The rows come from Build's
+// counting sort and are deduplicated with a per-class stamp array, so the
+// cost is O(n + m) plus, for a repeated target, a scan of the distinct
+// actions already kept towards it; there is no hash map and no comparison
+// sort. CollapseTauSCCs and the bisimulation quotient are projections.
+func Project(l *LTS, classOf []int32, numClasses int) *LTS {
+	b := &Builder{acts: l.Acts, labels: l.Labels, init: classOf[l.Init], n: numClasses,
+		edges: make([]edge, 0, len(l.edges))}
+	for s := 0; s < l.numStates; s++ {
+		c := classOf[s]
+		for _, t := range l.Succ(int32(s)) {
+			if t.Dst = classOf[t.Dst]; !IsTau(t.Action) || t.Dst != c {
+				b.edges = append(b.edges, edge{c, t})
+			}
+		}
+	}
+	p := b.Build()
+	// Compact the rows in place. last[d]-1 is the newest kept edge towards
+	// d and prev chains the kept edges towards one target; kept indices
+	// from the row's start w0 on belong to the current row.
+	last, prev := make([]int32, numClasses), make([]int32, len(p.edges))
+	var w int32
+	for c := 0; c < numClasses; c++ {
+		row, w0 := p.Succ(int32(c)), w
+		p.offsets[c] = w0
+		for _, t := range row {
+			k := last[t.Dst] - 1
+			for k >= w0 && p.edges[k].Action != t.Action {
+				k = prev[k]
+			}
+			if k < w0 {
+				p.edges[w], prev[w] = t, last[t.Dst]-1
+				w++
+				last[t.Dst] = w
+			}
+		}
+	}
+	p.offsets[numClasses] = w
+	if int(w) < len(p.edges) {
+		p.edges = append(make([]Transition, 0, w), p.edges[:w]...)
+	}
+	return p
 }
 
 // CSRBuilder constructs an LTS whose transitions arrive already grouped by
-// source state in increasing order, avoiding the sorting pass of Builder.
-// This is the natural order produced by breadth-first state-space
-// exploration.
+// source state in increasing order, so it appends rows directly instead of
+// buffering edges with their sources as Builder does. This is the natural
+// order produced by breadth-first state-space exploration.
 type CSRBuilder struct {
 	acts    *Alphabet
 	labels  *Alphabet

@@ -123,30 +123,11 @@ func TauSCCs(l *LTS) *TauSCC {
 // are reindexed to the new states by the returned mapping.
 //
 // The returned stateOf maps original states to collapsed states (it is
-// exactly scc.Comp). τ self-loops inside a component are dropped; all
-// other transitions are kept, with duplicates removed.
+// exactly scc.Comp). The collapse is the projection of l onto scc.Comp:
+// τ edges inside a component are dropped, all other transitions are kept
+// with duplicates removed (see Project).
 func CollapseTauSCCs(l *LTS, scc *TauSCC) (collapsed *LTS, stateOf []int32) {
-	b := NewBuilder(l.Acts)
-	b.SetLabels(l.Labels)
-	b.AddStates(scc.NumComps)
-	b.SetInit(int(scc.Comp[l.Init]))
-	seen := make(map[uint64]struct{}, l.NumTransitions())
-	for s := 0; s < l.NumStates(); s++ {
-		cs := scc.Comp[s]
-		for _, t := range l.Succ(int32(s)) {
-			cd := scc.Comp[t.Dst]
-			if IsTau(t.Action) && cs == cd {
-				continue
-			}
-			key := uint64(cs)<<40 | uint64(cd)<<16 | uint64(uint16(t.Action))
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			b.AddFull(int(cs), t.Action, t.Label, int(cd))
-		}
-	}
-	return b.Build(), scc.Comp
+	return Project(l, scc.Comp, scc.NumComps), scc.Comp
 }
 
 // HasTauCycle reports whether any state reachable from the initial state
