@@ -6,8 +6,8 @@ import "fmt"
 // reduction: the artifact the static analysis hands the explorer
 // (Reduction, produced by internal/vet's independence and confluence
 // passes), the pruning rule applied while successors are enumerated,
-// and a dynamic validator for the independence relation the artifact is
-// derived from.
+// and the pilot checks for the independence relation and the lock
+// regions the artifact is derived from.
 //
 // The pruning rule is ample-set style: when some running thread sits at
 // a statement the artifact classifies as confluent — a total internal
@@ -123,89 +123,40 @@ func (v *IndependenceViolation) Error() string {
 		v.Program, v.Method1, v.PC1, v.Thread1+1, v.Method2, v.PC2, v.Thread2+1, v.Reason)
 }
 
-// ValidateIndependence dynamically checks an independence relation over
-// a pilot instance of p: for every reachable state and every pair of
-// running threads whose current statements the oracle declares
-// independent, executing the two statements in either order must yield
-// the same canonical state, and neither order may block a statement the
-// other enables. It returns the first violation found, or nil when the
-// relation survives the whole pilot state space — the soundness oracle
-// behind the vet independence analysis's property test.
+// Independence dynamically checks an independence relation over the
+// pilot states: for every state and every pair of running threads whose
+// current statements the oracle declares independent, executing the two
+// statements in either order must yield the same canonical state, and
+// neither order may block a statement the other enables. It returns the
+// first violation in BFS order, the pilot's construction error when it
+// holds no states (a PilotError, or the program's Validate error), or
+// nil when the relation survives the whole pilot state space — the
+// soundness oracle behind the vet independence analysis's property
+// test.
 //
 // The pilot uses the raw (range-unlimited) state encoding, so it also
 // works on randomized programs whose values stray outside the packed
 // encoder's range.
-func ValidateIndependence(p *Program, opt PilotOptions, indep IndependenceOracle) error {
-	if err := p.Validate(); err != nil {
-		return err
+func (pl *Pilot) Independence(indep IndependenceOracle) error {
+	if pl.err != nil {
+		return pl.err
 	}
-	if opt.Threads <= 0 {
-		opt.Threads = 2
-	}
-	if opt.Ops <= 0 {
-		opt.Ops = 2
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 60000
-	}
-	v := &indepValidator{
-		prog:  p,
-		opt:   opt,
-		x:     newExpander(p, opt.Threads),
-		canon: newCanonicalizer(p, p.HeapCap+1),
-		ids:   make(map[string]struct{}),
-		indep: indep,
-	}
-	v.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}))
-	cur := newScratchState(p, opt.Threads)
-	for si := 0; si < len(v.keys); si++ {
-		decodeRaw(v.keys[si], cur)
+	v := &indepCheck{prog: pl.prog, canon: newCanonicalizer(pl.prog, pl.prog.HeapCap+1), indep: indep}
+	cur := newScratchState(pl.prog, pl.opt.Threads)
+	for _, key := range pl.keys {
+		decodeRaw(key, cur)
 		if err := v.checkState(cur); err != nil {
 			return err
 		}
-		v.expand(cur)
 	}
 	return nil
 }
 
-// indepValidator carries the BFS frontier and scratch of one
-// ValidateIndependence run.
-type indepValidator struct {
+// indepCheck carries the scratch of one Independence run.
+type indepCheck struct {
 	prog  *Program
-	opt   PilotOptions
-	x     expander
 	canon *canonicalizer
-	ids   map[string]struct{}
-	keys  [][]byte
-	buf   []byte
 	indep IndependenceOracle
-}
-
-func (v *indepValidator) intern(st *state) {
-	v.canon.run(st)
-	v.buf = encodeRaw(v.buf[:0], st, -1)
-	if _, ok := v.ids[string(v.buf)]; ok {
-		return
-	}
-	key := append([]byte(nil), v.buf...)
-	v.ids[bytesString(key)] = struct{}{}
-	v.keys = append(v.keys, key)
-}
-
-// expand enumerates cur's successors into the BFS set, swallowing
-// statement panics (degenerate randomized programs may fault; the state
-// is then expanded only partially).
-func (v *indepValidator) expand(cur *state) {
-	defer func() { _ = recover() }()
-	v.x.expandState(cur, v)
-}
-
-// emit implements transSink for the BFS.
-func (v *indepValidator) emit(x *expander, tr symTrans) bool {
-	if len(v.keys) < v.opt.MaxStates {
-		v.intern(x.succ)
-	}
-	return true
 }
 
 // MutexViolation reports a dynamic refutation of a claimed mutual
@@ -224,101 +175,40 @@ func (v *MutexViolation) Error() string {
 		v.Program, v.Thread1+1, v.Method1, v.PC1, v.Thread2+1, v.Method2, v.PC2)
 }
 
-// ValidateMutualExclusion dynamically checks a mutual-exclusion claim
-// over a pilot instance of p: held(mi, pc) declares statement pc of
-// method mi to lie inside a critical region, and no reachable state may
-// have two running threads simultaneously at held statements. Returns
-// the first violation found, or nil when the claim survives the whole
-// pilot state space (bounded by opt.MaxStates; truncation weakens
-// coverage, never soundness of a reported violation). This is the
-// safety net behind the lock-region masking of vet's confluence
-// analysis.
-func ValidateMutualExclusion(p *Program, opt PilotOptions, held func(mi, pc int) bool) error {
-	if err := p.Validate(); err != nil {
-		return err
+// MutualExclusion dynamically checks a mutual-exclusion claim over the
+// pilot states: held(mi, pc) declares statement pc of method mi to lie
+// inside a critical region, and no state may have two running threads
+// simultaneously at held statements. It returns the first violation in
+// BFS order, the pilot's construction error when it holds no states,
+// or nil when the claim survives the whole pilot state space (bounded by
+// MaxStates; truncation weakens coverage, never soundness of a reported
+// violation). This is the safety net behind the lock-region masking of
+// vet's confluence analysis.
+func (pl *Pilot) MutualExclusion(held func(mi, pc int) bool) error {
+	if pl.err != nil {
+		return pl.err
 	}
-	if opt.Threads <= 0 {
-		opt.Threads = 2
-	}
-	if opt.Ops <= 0 {
-		opt.Ops = 2
-	}
-	if opt.MaxStates <= 0 {
-		opt.MaxStates = 60000
-	}
-	v := &mutexValidator{
-		prog: p,
-		opt:  opt,
-		x:    newExpander(p, opt.Threads),
-		ids:  make(map[string]struct{}),
-		held: held,
-	}
-	v.intern(initialState(p, Options{Threads: opt.Threads, Ops: opt.Ops}))
-	cur := newScratchState(p, opt.Threads)
-	for si := 0; si < len(v.keys); si++ {
-		decodeRaw(v.keys[si], cur)
-		if err := v.checkState(cur); err != nil {
-			return err
-		}
-		v.expand(cur)
-	}
-	return nil
-}
-
-// mutexValidator carries the BFS frontier of one
-// ValidateMutualExclusion run.
-type mutexValidator struct {
-	prog *Program
-	opt  PilotOptions
-	x    expander
-	ids  map[string]struct{}
-	keys [][]byte
-	buf  []byte
-	held func(mi, pc int) bool
-}
-
-func (v *mutexValidator) intern(st *state) {
-	v.x.canon.run(st)
-	v.buf = encodeRaw(v.buf[:0], st, -1)
-	if _, ok := v.ids[string(v.buf)]; ok {
-		return
-	}
-	key := append([]byte(nil), v.buf...)
-	v.ids[bytesString(key)] = struct{}{}
-	v.keys = append(v.keys, key)
-}
-
-func (v *mutexValidator) expand(cur *state) {
-	defer func() { _ = recover() }()
-	v.x.expandState(cur, v)
-}
-
-// emit implements transSink for the BFS.
-func (v *mutexValidator) emit(x *expander, tr symTrans) bool {
-	if len(v.keys) < v.opt.MaxStates {
-		v.intern(x.succ)
-	}
-	return true
-}
-
-func (v *mutexValidator) checkState(cur *state) error {
-	first := -1
-	for t := range cur.th {
-		th := &cur.th[t]
-		if th.status != statusRunning || !v.held(int(th.method), int(th.pc)) {
-			continue
-		}
-		if first < 0 {
-			first = t
-			continue
-		}
-		p := v.prog
-		f, s := &cur.th[first], th
-		return &MutexViolation{
-			Program: p.Name,
-			Thread1: first, Thread2: t,
-			Method1: p.Methods[f.method].Name, Method2: p.Methods[s.method].Name,
-			PC1: int(f.pc), PC2: int(s.pc),
+	p := pl.prog
+	cur := newScratchState(p, pl.opt.Threads)
+	for _, key := range pl.keys {
+		decodeRaw(key, cur)
+		first := -1
+		for t := range cur.th {
+			th := &cur.th[t]
+			if th.status != statusRunning || !held(int(th.method), int(th.pc)) {
+				continue
+			}
+			if first < 0 {
+				first = t
+				continue
+			}
+			f := &cur.th[first]
+			return &MutexViolation{
+				Program: p.Name,
+				Thread1: first, Thread2: t,
+				Method1: p.Methods[f.method].Name, Method2: p.Methods[th.method].Name,
+				PC1: int(f.pc), PC2: int(th.pc),
+			}
 		}
 	}
 	return nil
@@ -328,7 +218,7 @@ func (v *mutexValidator) checkState(cur *state) error {
 // the single outcome the way the explorer does. ok is false when the
 // statement blocks (no outcome) or faults. IR-backed statements emit at
 // most one outcome, which is all the validator supports.
-func (v *indepValidator) execStmt(st *state, t int) (next *state, ok bool) {
+func (v *indepCheck) execStmt(st *state, t int) (next *state, ok bool) {
 	defer func() {
 		if recover() != nil {
 			next, ok = nil, false
@@ -359,7 +249,7 @@ func (v *indepValidator) execStmt(st *state, t int) (next *state, ok bool) {
 }
 
 // canonicalKey canonicalizes a clone of st and returns its raw encoding.
-func (v *indepValidator) canonicalKey(st *state) string {
+func (v *indepCheck) canonicalKey(st *state) string {
 	c := st.clone()
 	v.canon.run(c)
 	return string(encodeRaw(nil, c, -1))
@@ -367,7 +257,7 @@ func (v *indepValidator) canonicalKey(st *state) string {
 
 // checkState validates every declared-independent pair of co-enabled
 // statements of cur.
-func (v *indepValidator) checkState(cur *state) error {
+func (v *indepCheck) checkState(cur *state) error {
 	p := v.prog
 	for t1 := 0; t1 < len(cur.th); t1++ {
 		if cur.th[t1].status != statusRunning {

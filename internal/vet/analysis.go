@@ -739,11 +739,11 @@ func scanSeqUses(seq []machine.Instr, uses []varUse, initBlock bool) {
 
 // runTauCycle wraps the machine pilot probe as an analyzer.
 func runTauCycle(p *machine.Program, opts Options) []Finding {
-	cycles := machine.FindTauCycles(p, machine.PilotOptions{
+	cycles := machine.NewPilot(p, machine.PilotOptions{
 		Threads:   opts.Threads,
 		Ops:       opts.Ops,
 		MaxStates: opts.MaxPilotStates,
-	})
+	}).TauCycles()
 	var out []Finding
 	for _, c := range cycles {
 		m := &p.Methods[c.MethodIndex]

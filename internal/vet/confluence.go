@@ -143,12 +143,12 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	// statements holding the same lock are never co-enabled. Each
 	// statically inferred region is cross-checked against the dynamic
 	// pilot and dropped if any reachable pilot state refutes it.
-	pilot := machine.PilotOptions{Threads: threads, Ops: ops, MaxStates: opts.MaxPilotStates}
+	pilot := machine.NewPilot(p, machine.PilotOptions{Threads: threads, Ops: ops, MaxStates: opts.MaxPilotStates})
 	a.Region = make([]string, n)
 	var regions []lockRegion
 	for _, r := range inferLockRegions(p) {
 		r := r
-		if machine.ValidateMutualExclusion(p, pilot, func(mi, pc int) bool {
+		if pilot.MutualExclusion(func(mi, pc int) bool {
 			return mi < len(r.held) && pc < len(r.held[mi]) && r.held[mi][pc]
 		}) != nil {
 			continue
@@ -198,7 +198,7 @@ func Reduce(p *machine.Program, opts Options) *ReductionArtifact {
 	}
 
 	a.demoteCycles(p)
-	a.demoteTauCycles(p, pilot)
+	a.demoteTauCycles(pilot)
 	return a
 }
 
@@ -248,8 +248,8 @@ func (a *ReductionArtifact) demoteCycles(p *machine.Program) {
 // still confluent is demoted. With static acyclicity already enforced
 // this should find nothing; it is the independent safety net the
 // divergence argument leans on.
-func (a *ReductionArtifact) demoteTauCycles(p *machine.Program, opt machine.PilotOptions) {
-	for _, c := range machine.FindTauCycles(p, opt) {
+func (a *ReductionArtifact) demoteTauCycles(pilot *machine.Pilot) {
+	for _, c := range pilot.TauCycles() {
 		if c.MethodIndex < 0 || c.MethodIndex >= len(a.base) {
 			continue
 		}
@@ -332,7 +332,7 @@ func (a *ReductionArtifact) Machine() *machine.Reduction {
 }
 
 // Oracle exposes the independence relation in the shape
-// machine.ValidateIndependence consumes. Out-of-range statements are
+// (*machine.Pilot).Independence consumes. Out-of-range statements are
 // never declared independent.
 func (a *ReductionArtifact) Oracle() machine.IndependenceOracle {
 	return func(m1, pc1, m2, pc2 int) bool {

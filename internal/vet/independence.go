@@ -44,7 +44,7 @@ import (
 // entirely: a dangling pointer held by another thread can alias a
 // reallocated "private" cell.
 //
-// The relation is validated dynamically by machine.ValidateIndependence
+// The relation is validated dynamically by (*machine.Pilot).Independence
 // (see the randomized property test): every pair declared independent
 // is executed in both orders from every reachable pilot state and must
 // commute exactly.

@@ -11,7 +11,7 @@ import (
 )
 
 // loadExample compiles one embedded BBVL example model.
-func loadExample(t *testing.T, name string) *bbvl.Model {
+func loadExample(t testing.TB, name string) *bbvl.Model {
 	t.Helper()
 	src, err := bbvlexamples.Source(name)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestReduceExamplesValidateDynamically(t *testing.T) {
 		if art == nil {
 			t.Fatalf("%s: Reduce returned nil", name)
 		}
-		if err := machine.ValidateIndependence(p, machine.PilotOptions{Threads: 2, Ops: 2}, art.Oracle()); err != nil {
+		if err := machine.NewPilot(p, machine.PilotOptions{Threads: 2, Ops: 2}).Independence(art.Oracle()); err != nil {
 			t.Errorf("%s: %v\n%s", name, err, art.Format())
 		}
 	}
@@ -121,6 +121,8 @@ func TestReduceRegistryProgramsNil(t *testing.T) {
 		t.Fatalf("nil artifact must pack to nil")
 	}
 }
+
+func lit(v int32) machine.Operand { return machine.Operand{Kind: machine.OperandLit, Lit: v} }
 
 // irStmt builds a statement whose Exec interprets the given IR.
 func irStmt(label string, seq []machine.Instr) machine.Stmt {
@@ -191,5 +193,24 @@ func TestReduceNonTotalNotConfluent(t *testing.T) {
 	}
 	if !art.Confluent[1] {
 		t.Fatalf("trivial return statement should be confluent\n%s", art.Format())
+	}
+}
+
+// reduceSink keeps BenchmarkReduce's result live.
+var reduceSink *vet.ReductionArtifact
+
+// BenchmarkReduce times the whole static reduction — independence,
+// lock regions with their mutual-exclusion pilot checks, confluence and
+// the τ-cycle demotion — on the three BBVL models the reduction
+// benchmark workload runs, at 3×2.
+func BenchmarkReduce(b *testing.B) {
+	for _, name := range []string{"spinlock-stack", "spinlock-queue", "treiber"} {
+		p := loadExample(b, name).Build(algorithms.Config{Threads: 3, Ops: 2})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				reduceSink = vet.Reduce(p, vet.Options{Threads: 3, Ops: 2})
+			}
+		})
 	}
 }

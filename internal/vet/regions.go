@@ -32,7 +32,7 @@ import "repro/internal/machine"
 // The held sets feed ReductionArtifact's confluence classification:
 // statements holding the same lock mask their mutual conflicts. Reduce
 // additionally cross-checks every inferred region against the dynamic
-// pilot (machine.ValidateMutualExclusion) and drops any region the
+// pilot ((*machine.Pilot).MutualExclusion) and drops any region the
 // pilot refutes — belt and braces, like the τ-cycle demotion.
 
 // lockRegion is one verified lock with its per-statement held sets.
