@@ -54,7 +54,8 @@ type Instance struct {
 	Ops       int
 	MaxStates int
 	// Workers sets the state-space exploration worker count (0 = all
-	// cores, 1 = sequential). Results are identical for any value.
+	// cores, 1 = one worker, expanding inline). Results are identical for
+	// any value.
 	Workers int
 	// MemBudget bounds (in bytes) the resident state storage of each
 	// exploration; past it, state storage spills to temp files. Zero

@@ -139,7 +139,7 @@ subcommands:
                                licenses the -reduction pruning
 
 common flags: -threads N (default 2), -ops N (default 2), -vals 1,2, -max-states N,
-              -workers N (exploration workers; 0 = all cores, 1 = sequential —
+              -workers N (exploration workers; 0 = all cores, 1 = one, inline —
               results are identical for any value),
               -refiner auto|signature|splitter (branching-bisimulation refinement
               algorithm — partitions and verdicts are identical for any choice),
@@ -184,7 +184,7 @@ func newFlags(name string) *commonFlags {
 		ops:       fs.Int("ops", 2, "operations per thread"),
 		vals:      fs.String("vals", "", "comma-separated value universe (default algorithm-specific)"),
 		maxStates: fs.Int("max-states", 0, "state budget (0 = default)"),
-		workers:   fs.Int("workers", 0, "exploration workers (0 = all cores, 1 = sequential)"),
+		workers:   fs.Int("workers", 0, "exploration workers (0 = all cores, 1 = one worker, inline)"),
 		refiner:   fs.String("refiner", "auto", "branching-bisimulation refiner: auto, signature or splitter — verdicts are identical for any choice"),
 		model:     fs.String("model", "", "verify a BBVL model file instead of a registry algorithm"),
 		membudget: fs.String("membudget", "", "resident state-storage budget per exploration, e.g. 64MiB or 2GiB; past it, state storage spills to temp files (default: all in RAM) — results are identical for any budget"),

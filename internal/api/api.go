@@ -605,22 +605,10 @@ func RunBackend(ctx context.Context, spec JobSpec, backend statecodec.Backend, o
 	if err != nil {
 		return nil, err
 	}
-	if spec.ModelSource != "" {
-		return runGuarded(ctx, alg, spec, backend, observe)
-	}
-	return run(ctx, alg, spec, backend, observe)
-}
-
-// runGuarded executes a model job with a panic guard: a well-typed model
-// can still fail at runtime (nil dereference, heap exhaustion), and the
-// compiled program reports those as panics carrying the source position.
-// Registry algorithms run unguarded — a panic there is a bug, not input.
-func runGuarded(ctx context.Context, alg *algorithms.Algorithm, spec JobSpec, backend statecodec.Backend, observe func(StageJSON)) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("api: model runtime error: %v", r)
-		}
-	}()
+	// A well-typed model can still fail at runtime (nil dereference, heap
+	// exhaustion); the explorer returns such faults as a positioned
+	// *machine.RuntimeError at every worker count, so no guard is needed
+	// here.
 	return run(ctx, alg, spec, backend, observe)
 }
 

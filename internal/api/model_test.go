@@ -2,8 +2,11 @@ package api
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 const tinyModel = `model tiny
@@ -105,9 +108,7 @@ func TestRunModelCheck(t *testing.T) {
 }
 
 func TestRunModelRuntimePanicRecovered(t *testing.T) {
-	_, err := Run(context.Background(), JobSpec{
-		Kind: KindCheck,
-		ModelSource: `model broken
+	const src = `model broken
 node cell { val: val  next: ptr }
 globals { Top: ptr }
 spec stack
@@ -117,13 +118,30 @@ method Push(v: vals) {
   P2: if cas(Top, t, nil) { return ok } else { goto P1 }
 }
 method Pop() { P9: return empty }
-`,
-		Threads: 1, Ops: 1, Workers: 1,
-	})
-	if err == nil {
-		t.Fatal("runtime nil deref did not fail the job")
-	}
-	if !strings.Contains(err.Error(), "model runtime error") || !strings.Contains(err.Error(), "model.bbvl:7:11") {
-		t.Errorf("err = %v, want positioned model runtime error", err)
+`
+	// The fault happens inside an exploration worker; every worker count
+	// must fail the job with the same positioned error instead of
+	// crashing the process.
+	var first string
+	for _, workers := range []int{1, 2} {
+		_, err := Run(context.Background(), JobSpec{
+			Kind: KindCheck, ModelSource: src,
+			Threads: 1, Ops: 1, Workers: workers,
+		})
+		if err == nil {
+			t.Fatalf("workers=%d: runtime nil deref did not fail the job", workers)
+		}
+		if !strings.Contains(err.Error(), "model runtime error") || !strings.Contains(err.Error(), "model.bbvl:7:11") {
+			t.Errorf("workers=%d: err = %v, want positioned model runtime error", workers, err)
+		}
+		var re *machine.RuntimeError
+		if !errors.As(err, &re) || re.Method != "Push" || re.Pos.Line != 7 {
+			t.Errorf("workers=%d: err = %#v, want a *machine.RuntimeError at Push (line 7)", workers, err)
+		}
+		if first == "" {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Errorf("workers=%d: error %q differs from workers=1 %q", workers, err, first)
+		}
 	}
 }

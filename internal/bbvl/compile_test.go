@@ -1,6 +1,7 @@
 package bbvl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 
 // TestNilDerefPanicsWithPosition checks that running a well-typed but
 // wrong model (dereferencing nil at runtime) panics with the source
-// position of the offending access, which the api layer converts into a
-// job error.
+// position of the offending access, and that the explorer turns the
+// panic into a *machine.RuntimeError carrying that message and the
+// faulting statement, which the api layer reports as a job error.
 func TestNilDerefPanicsWithPosition(t *testing.T) {
 	src := `model broken
 node cell { val: val  next: ptr }
@@ -28,18 +30,19 @@ method Pop() { P9: return empty }
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic from nil dereference")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "broken.bbvl:7:11") || !strings.Contains(msg, "nil or invalid pointer dereference") {
-			t.Fatalf("panic = %v, want positioned nil-deref message", r)
-		}
-	}()
-	_, _ = machine.Explore(m.Build(algorithms.Config{Threads: 1, Ops: 1}),
+	_, err = machine.Explore(m.Build(algorithms.Config{Threads: 1, Ops: 1}),
 		machine.Options{Threads: 1, Ops: 1, Workers: 1})
+	var re *machine.RuntimeError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want a *machine.RuntimeError", err)
+	}
+	msg, ok := re.Value.(string)
+	if !ok || !strings.Contains(msg, "broken.bbvl:7:11") || !strings.Contains(msg, "nil or invalid pointer dereference") {
+		t.Fatalf("panic = %v, want positioned nil-deref message", re.Value)
+	}
+	if re.Method != "Push" || re.Label != "P1" || re.Pos.String() != "broken.bbvl:7:3" {
+		t.Errorf("fault located at %s.%s (%s), want Push.P1 (broken.bbvl:7:3)", re.Method, re.Label, re.Pos)
+	}
 }
 
 // TestArgSetModel runs a model whose method argument ranges over an

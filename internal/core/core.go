@@ -42,9 +42,9 @@ type Config struct {
 	// MaxStates caps each state-space generation; 0 uses the machine
 	// package default.
 	MaxStates int
-	// Workers sets the exploration worker count (0 = all cores, 1 =
-	// sequential); the generated LTSs — and hence every verdict — are
-	// identical for any value. See machine.Options.Workers.
+	// Workers sets the exploration worker count (0 = all cores, 1 = one
+	// worker, expanding inline); the generated LTSs — and hence every
+	// verdict — are identical for any value. See machine.Options.Workers.
 	Workers int
 	// Refiner selects the branching-bisimulation partition-refinement
 	// algorithm (signature-based or splitting-tree); the zero value picks

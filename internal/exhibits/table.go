@@ -113,8 +113,8 @@ type Options struct {
 	// for tests and fast demos.
 	Quick bool
 	// Workers sets the state-space exploration worker count (0 = all
-	// cores, 1 = sequential). Exhibit contents are identical for any
-	// value; only wall-clock time changes.
+	// cores, 1 = one worker, expanding inline). Exhibit contents are
+	// identical for any value; only wall-clock time changes.
 	Workers int
 	// MemBudget bounds (in bytes) the resident state storage of each
 	// exploration; past it, state storage spills to temp files. Zero

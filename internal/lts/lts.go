@@ -1,6 +1,9 @@
 package lts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LabelID identifies an interned diagnostic label (e.g. "t1.L28") attached
 // to a transition. Labels never influence any equivalence; they only make
@@ -226,17 +229,21 @@ func (b *CSRBuilder) Emit(act ActionID, label LabelID, dst int32) {
 
 // Reserve grows the builder's capacity for at least states more states
 // and edges more transitions, so a bulk merge appends without regrowing.
+// Growth is geometric (slices.Grow follows append's policy), so
+// reserving level after level of a BFS copies the edge array O(log m)
+// times, not once per level.
 func (b *CSRBuilder) Reserve(states, edges int) {
-	if need := len(b.offsets) + states; need > cap(b.offsets) {
-		grown := make([]int32, len(b.offsets), need)
-		copy(grown, b.offsets)
-		b.offsets = grown
+	b.offsets = slices.Grow(b.offsets, states)
+	b.edges = slices.Grow(b.edges, edges)
+}
+
+// trim returns s in an array of its own length when more than a
+// sixteenth of its capacity is unused.
+func trim[E any](s []E) []E {
+	if cap(s)-len(s) <= len(s)/16 {
+		return s
 	}
-	if need := len(b.edges) + edges; need > cap(b.edges) {
-		grown := make([]Transition, len(b.edges), need)
-		copy(grown, b.edges)
-		b.edges = grown
-	}
+	return slices.Clone(s)
 }
 
 // EmitRow appends every transition of state s in one call — the bulk
@@ -260,6 +267,10 @@ func (b *CSRBuilder) Build(numStates int, init int32) *LTS {
 		b.cur++
 		b.offsets = append(b.offsets, int32(len(b.edges)))
 	}
+	// The LTS outlives the builder (a session keeps it for the whole
+	// job, through refinement, the job's memory peak), so it does not
+	// keep Reserve's growth slack.
+	b.offsets, b.edges = trim(b.offsets), trim(b.edges)
 	return &LTS{
 		Acts:      b.acts,
 		Labels:    b.labels,

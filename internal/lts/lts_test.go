@@ -292,3 +292,34 @@ func TestHasTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveGrowsGeometrically pins the bulk-merge contract of
+// CSRBuilder.Reserve: a BFS reserves once per level, and growing to
+// exactly the requested size would reallocate and copy the whole edge
+// array at every level (quadratic in the level count). Fifty
+// level-sized reservations must instead reallocate O(log m) times.
+func TestReserveGrowsGeometrically(t *testing.T) {
+	const levels, states, fanout = 50, 2000, 5
+	acts, labels := NewAlphabet(), NewAlphabet()
+	row := make([]Transition, fanout)
+	allocs := testing.AllocsPerRun(2, func() {
+		b := NewCSRBuilder(acts, labels)
+		s := int32(0)
+		for l := 0; l < levels; l++ {
+			b.Reserve(states, states*fanout)
+			for i := 0; i < states; i++ {
+				if err := b.EmitRow(s, row); err != nil {
+					t.Fatal(err)
+				}
+				s++
+			}
+		}
+	})
+	// Each of the two arrays grows by append's factor (1.25 for large
+	// arrays), about log_1.25(50) ≈ 18 times at most; growing to the
+	// exact size allocates twice per level, about 100 times.
+	if allocs > 40 {
+		t.Fatalf("%d level-sized Reserve calls allocated %.0f times; want O(log m), at most 40", levels, allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
+}

@@ -54,7 +54,7 @@ func canceled(ctx context.Context, prog string) error {
 const cancelCheckMask = 1023
 
 // exploreObserver, when set, is called at the start of every exploration
-// (sequential or parallel) with the program being explored. It exists so
+// (at any worker count) with the program being explored. It exists so
 // tests can prove how often the expensive generation stage actually runs
 // — e.g. that a core.Session explores each distinct program exactly once.
 var exploreObserver atomic.Pointer[func(p *Program)]
@@ -82,11 +82,14 @@ type Options struct {
 	// MaxStates bounds the exploration; 0 means DefaultMaxStates.
 	MaxStates int
 	// Workers is the number of exploration workers: 0 uses
-	// runtime.GOMAXPROCS(0), 1 forces the sequential explorer, and larger
-	// values run the level-synchronized parallel explorer. Every worker
-	// count produces the same LTS, bit for bit (state IDs in sequential
-	// discovery order, transitions in the same order, identical alphabet
-	// interning), so results, quotients and verdicts never depend on it.
+	// runtime.GOMAXPROCS(0). There is one explorer, a level-synchronized
+	// BFS over a state store; with 1 worker it expands every level inline
+	// on the calling goroutine, with more it fans each level out to that
+	// many goroutines. Every worker count produces the same LTS, bit for
+	// bit (state IDs in breadth-first discovery order, transitions in
+	// emission order, identical alphabet interning), the same deadlock
+	// list and the same error, so results, quotients and verdicts never
+	// depend on it.
 	Workers int
 	// Acts supplies a shared action alphabet so that several systems
 	// (object, specification, abstraction) can be compared; nil allocates
@@ -98,9 +101,8 @@ type Options struct {
 	// storage of the exploration; past it, a spill-capable Backend sheds
 	// closed intern-table generations and frontier levels to temp files.
 	// 0 keeps everything in RAM. The produced LTS is byte-identical for
-	// every budget. A positive budget routes through the store-backed
-	// explorer even when Workers == 1, and requires Backend.Open — the
-	// pure in-memory default cannot honor a budget.
+	// every budget. A positive budget requires Backend.Open — the pure
+	// in-memory default cannot honor a budget.
 	MemBudget int64
 	// SpillDir is the parent directory for spill temp files; empty uses
 	// the OS temp dir. All spill files live in a private subdirectory
@@ -210,9 +212,14 @@ func Explore(p *Program, opt Options) (*lts.LTS, error) {
 }
 
 // ExploreContext is Explore with cancellation: when ctx is canceled or
-// times out mid-exploration, it stops promptly — both the sequential BFS
-// and every parallel worker poll the context — and returns a
-// *CanceledError wrapping the context cause.
+// times out mid-exploration, it stops promptly — every worker polls the
+// context once per claimed frontier chunk, and the merge every 1024
+// states — and returns a *CanceledError wrapping the context cause.
+//
+// A panic raised by program code (a statement, Init, or a successor
+// outside the state encoding) does not escape: it is returned as a
+// *RuntimeError naming the faulting state and statement, the same one
+// at every worker count.
 func ExploreContext(ctx context.Context, p *Program, opt Options) (*lts.LTS, error) {
 	l, _, err := ExploreWithInfoContext(ctx, p, opt)
 	return l, err
@@ -257,21 +264,7 @@ func ExploreWithInfoContext(ctx context.Context, p *Program, opt Options) (*lts.
 	if opt.MemBudget > 0 && opt.Backend.Open == nil {
 		return nil, nil, fmt.Errorf("machine: %s: Options.MemBudget requires a spill-capable Options.Backend (e.g. statestore.Runtime()); the in-memory default cannot honor a budget", p.Name)
 	}
-	// A memory budget needs the store-backed explorer; with one worker it
-	// produces the identical LTS, just through the state store.
-	if workers > 1 || opt.MemBudget > 0 {
-		return exploreParallel(ctx, p, opt, cdc, acts, labels, limit, workers)
-	}
-
-	e := &explorer{
-		ctx:  ctx,
-		prog: p,
-		opt:  opt,
-		cdc:  cdc,
-		ai:   newActionInterner(p, acts, labels),
-		ids:  make(map[string]int32),
-	}
-	return e.run(limit)
+	return explore(ctx, p, opt, cdc, acts, labels, limit, workers)
 }
 
 // validation helpers live on the option struct so both entry points share
@@ -287,7 +280,7 @@ func validateOptions(p *Program, opt Options) error {
 }
 
 // bytesString views b as a string without copying. The caller must never
-// mutate b afterwards; interned state keys are write-once.
+// mutate b afterwards; the pilot's state keys are write-once.
 func bytesString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -304,25 +297,6 @@ func initialState(p *Program, opt Options) *state {
 	return init
 }
 
-// explorer is the sequential state-space generator: a BFS over interned
-// canonical state encodings, emitting transitions straight into a CSR
-// builder.
-type explorer struct {
-	ctx      context.Context
-	prog     *Program
-	opt      Options
-	cdc      codec
-	ai       *actionInterner
-	ids      map[string]int32
-	keys     [][]byte
-	buf      []byte
-	keyBytes int64
-	limit    int
-	err      error
-	csr      *lts.CSRBuilder
-	x        expander
-}
-
 // actKey packs (call?, thread, method, value) for the action cache.
 func actKey(call bool, t, m int, v int32) int64 {
 	k := int64(t)<<40 | int64(m)<<32 | int64(uint32(v))
@@ -334,9 +308,8 @@ func actKey(call bool, t, m int, v int32) int64 {
 
 // actionInterner resolves the symbolic transitions produced by expandState
 // to interned action and label IDs, memoized per (thread, method, value).
-// It is shared by the sequential explorer and the parallel merge; both
-// resolve transitions in the same deterministic emission order, so the
-// alphabets receive identical IDs either way.
+// The merge resolves transitions in deterministic emission order, so
+// the alphabets receive identical IDs at every worker count.
 type actionInterner struct {
 	prog     *Program
 	acts     *lts.Alphabet
@@ -425,28 +398,6 @@ func (ai *actionInterner) resolve(tr symTrans) (lts.ActionID, lts.LabelID) {
 	}
 }
 
-// internState canonicalizes, encodes and interns st, returning its ID.
-// The state budget is enforced here, at the moment the offending state is
-// interned, so one state's expansion cannot run arbitrarily far past
-// MaxStates before the error surfaces: e.err carries the StateLimitError
-// as soon as the limit is crossed and callers stop promptly.
-func (e *explorer) internState(st *state) int32 {
-	e.x.canon.run(st)
-	e.buf = e.cdc.encode(e.buf[:0], st)
-	if id, ok := e.ids[string(e.buf)]; ok {
-		return id
-	}
-	id := int32(len(e.keys))
-	key := append([]byte(nil), e.buf...)
-	e.ids[bytesString(key)] = id
-	e.keys = append(e.keys, key)
-	e.keyBytes += int64(len(key))
-	if len(e.keys) > e.limit && e.err == nil {
-		e.err = &StateLimitError{Program: e.prog.Name, Limit: e.limit}
-	}
-	return id
-}
-
 // newScratchState allocates a state shaped for the program.
 func newScratchState(p *Program, threads int) *state {
 	st := &state{
@@ -457,61 +408,6 @@ func newScratchState(p *Program, threads int) *state {
 		st.th[i].locals = make([]int32, p.NLocals)
 	}
 	return st
-}
-
-func (e *explorer) run(limit int) (*lts.LTS, *Info, error) {
-	p := e.prog
-	start := time.Now()
-	e.limit = limit
-	e.x = newExpander(p, e.opt.Threads)
-	e.x.red = e.opt.Reduction
-	e.internState(initialState(p, e.opt))
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-
-	info := &Info{}
-	e.csr = lts.NewCSRBuilder(e.ai.acts, e.ai.labels)
-	cur := newScratchState(p, e.opt.Threads)
-	for si := 0; si < len(e.keys); si++ {
-		if si&cancelCheckMask == 0 && e.ctx.Err() != nil {
-			return nil, nil, canceled(e.ctx, p.Name)
-		}
-		e.cdc.decode(e.keys[si], cur)
-		if err := e.csr.BeginState(int32(si)); err != nil {
-			return nil, nil, err
-		}
-		emitted := e.x.expandState(cur, e)
-		if e.err != nil {
-			return nil, nil, e.err
-		}
-		if emitted == 0 && !allDone(cur) {
-			info.Deadlocks = append(info.Deadlocks, int32(si))
-		}
-	}
-	info.Stats = ExploreStats{
-		Encoding:          e.cdc.name(),
-		States:            len(e.keys),
-		EncodedBytes:      e.keyBytes,
-		PeakResidentBytes: e.keyBytes,
-		PeakRSSBytes:      e.opt.Backend.ProcessPeakRSS(),
-		PrunedStates:      e.x.pruned,
-		Elapsed:           time.Since(start),
-	}
-	return e.csr.Build(len(e.keys), 0), info, nil
-}
-
-// emit implements transSink for the sequential explorer: intern the
-// successor, resolve the action, and write the transition to the CSR
-// builder. Expansion aborts once the state budget has been crossed.
-func (e *explorer) emit(x *expander, tr symTrans) bool {
-	dst := e.internState(x.succ)
-	if e.err != nil {
-		return false
-	}
-	act, lbl := e.ai.resolve(tr)
-	e.csr.Emit(act, lbl, dst)
-	return true
 }
 
 // allDone reports whether every thread is idle with no operations left —
@@ -543,8 +439,7 @@ type symTrans struct {
 }
 
 // transSink consumes the transitions produced by expandState. emit may
-// return false to abort the expansion of the current state early (the
-// sequential explorer does so when the state budget is crossed).
+// return false to abort the expansion of the current state early.
 type transSink interface {
 	emit(x *expander, tr symTrans) bool
 }
@@ -553,8 +448,8 @@ type transSink interface {
 // successors of one state: the statement's mutated copy of the current
 // state (work), the per-outcome successor handed to the canonicalizer
 // (succ, rewritten in place), the statement context, and a private
-// canonicalizer. The sequential explorer owns one; every parallel worker
-// owns its own, so expansion never shares mutable state.
+// canonicalizer. Every exploration worker (and the pilot) owns its own,
+// so expansion never shares mutable state.
 type expander struct {
 	prog       *Program
 	work, succ *state
@@ -569,6 +464,19 @@ type expander struct {
 	pruned   int64
 	chain    *state
 	chainMax int
+	// inStmt is set while a statement executes, naming it (thread
+	// stmtT, method stmtM, statement stmtPC) for the RuntimeError a
+	// fault inside it becomes.
+	inStmt               bool
+	stmtT, stmtM, stmtPC int32
+}
+
+// exec runs statement pc of method mi for thread t under ctx, recording
+// which statement runs for fault reports.
+func (x *expander) exec(stmt *Stmt, t, mi, pc int) {
+	x.inStmt, x.stmtT, x.stmtM, x.stmtPC = true, int32(t), int32(mi), int32(pc)
+	stmt.Exec(&x.ctx)
+	x.inStmt = false
 }
 
 func newExpander(p *Program, threads int) expander {
@@ -605,9 +513,9 @@ var zeroArg = []int32{0}
 // bisimilar to the chain's end (each hop is an inert confluent τ), so
 // the quotient is untouched while the skipped states never enter the
 // LTS at all. The chain is a pure function of the canonical state and
-// the artifact — a deterministic choice shared by the sequential
-// explorer and every parallel worker, keeping the reduced LTS
-// byte-identical across worker counts and memory budgets.
+// the artifact — a deterministic choice shared by every worker, keeping
+// the reduced LTS byte-identical across worker counts and memory
+// budgets.
 func (x *expander) expandState(cur *state, sink transSink) int {
 	if x.red != nil {
 		if t := x.red.pick(cur); t >= 0 {
@@ -649,7 +557,7 @@ func (x *expander) expandChain(cur *state, t int, sink transSink) (int, bool) {
 			L:    th.locals,
 			outs: x.ctx.outs[:0],
 		}
-		stmt.Exec(&x.ctx)
+		x.exec(stmt, t, mi, pc)
 		if len(x.ctx.outs) != 1 {
 			if steps == 0 {
 				return 0, false
@@ -739,7 +647,7 @@ func (x *expander) expandThread(cur *state, t int, sink transSink) (int, bool) {
 			L:    x.work.th[t].locals,
 			outs: x.ctx.outs[:0],
 		}
-		stmt.Exec(&x.ctx)
+		x.exec(stmt, t, mi, pc)
 		for _, out := range x.ctx.outs {
 			x.work.copyInto(x.succ)
 			nt := &x.succ.th[t]

@@ -8,12 +8,13 @@ import (
 )
 
 // TestDecodeKeysAllocFree pins the decode side of the BFS hot path:
-// interned state keys are stored as []byte, so popping a state off the
-// frontier (decode of its key) must not allocate. The old string-keyed
-// table converted every key with []byte(key) — one copy per BFS pop.
+// popping a state off the frontier (decode of its key) must not
+// allocate, with the legacy codec or the packed record codec. The keys
+// come from the reference explorer; the packed ones are re-encodings of
+// the same states.
 func TestDecodeKeysAllocFree(t *testing.T) {
 	p := counterProgram()
-	e := &explorer{
+	e := &refExplorer{
 		ctx:  context.Background(),
 		prog: p,
 		opt:  Options{Threads: 2, Ops: 2, Workers: 1},
@@ -26,10 +27,22 @@ func TestDecodeKeysAllocFree(t *testing.T) {
 	if len(e.keys) < 10 {
 		t.Fatalf("expected a non-trivial state space, got %d states", len(e.keys))
 	}
+	cdc, err := newCodec(p, Options{Threads: 2, Ops: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cur := newScratchState(p, 2)
+	var packed [][]byte
+	for _, k := range e.keys {
+		decode(k, cur)
+		packed = append(packed, cdc.encode(nil, cur, len(cur.g.Heap)))
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, k := range e.keys {
 			decode(k, cur)
+		}
+		for _, k := range packed {
+			cdc.decode(k, cur)
 		}
 	})
 	if allocs != 0 {

@@ -243,7 +243,7 @@ func storeLoc(c *Ctx, l *Loc, v int32) {
 
 // nodeDeref resolves a field location's base pointer to its heap node,
 // panicking with the source position on a nil or dangling pointer (the
-// api layer converts the panic into a job error for user models).
+// explorer recovers the panic into a *RuntimeError).
 func nodeDeref(c *Ctx, l *Loc) *Node {
 	var p int32
 	if l.BaseGlobal {

@@ -22,8 +22,8 @@ import "fmt"
 //
 // Determinism: the rule is a pure function of the canonical state and
 // the artifact (lowest-index running thread at a confluent statement
-// wins), evaluated inside expandState, which both the sequential
-// explorer and every parallel worker share. Worker counts and memory
+// wins), evaluated inside expandState, which every exploration worker
+// shares. Worker counts and memory
 // budgets therefore keep producing byte-identical LTSs with a Reduction
 // installed, exactly as without one.
 

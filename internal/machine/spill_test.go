@@ -9,15 +9,21 @@ package machine_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/lts"
 	"repro/internal/machine"
+	"repro/internal/statecodec"
 	"repro/internal/statestore"
 	"repro/internal/vet"
 )
@@ -179,6 +185,138 @@ func TestSpillCleanupOnStateLimit(t *testing.T) {
 		t.Fatalf("error reports limit %d, want 500", lim.Limit)
 	}
 	requireEmptyDir(t, dir, "after state limit")
+}
+
+// genRecorder wraps a store opener and, after every level, records the
+// spill generation files that appeared under the spill directory (by
+// name, with a digest of their bytes) before the store can remove them.
+type genRecorder struct {
+	gens map[string]string
+}
+
+func (g *genRecorder) open(cfg statecodec.Config) (statecodec.Store, error) {
+	st, err := statestore.Backend(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingStore{Store: st, dir: cfg.Dir, rec: g}, nil
+}
+
+type recordingStore struct {
+	statecodec.Store
+	dir string
+	rec *genRecorder
+}
+
+func (s *recordingStore) EndLevel() error {
+	if err := s.Store.EndLevel(); err != nil {
+		return err
+	}
+	return filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), "gen-") {
+			return err
+		}
+		if _, ok := s.rec.gens[d.Name()]; ok {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		s.rec.gens[d.Name()] = fmt.Sprintf("%d:%x", len(b), sha256.Sum256(b))
+		return nil
+	})
+}
+
+// TestSpillGenerationsDeterministic checks that spilling is a function
+// of the explored program alone: under a 1-byte budget (a flush after
+// every level) two runs at one worker and runs at two and eight workers
+// write byte-identical generation files, in the same sequence.
+func TestSpillGenerationsDeterministic(t *testing.T) {
+	alg, err := algorithms.ByID("ms-queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := alg.Build(algorithms.Config{Threads: 2, Ops: 2})
+	var want map[string]string
+	for i, workers := range []int{1, 1, 2, 8} {
+		rec := &genRecorder{gens: map[string]string{}}
+		dir := t.TempDir()
+		_, err := machine.Explore(prog, machine.Options{
+			Threads: 2, Ops: 2, Workers: workers, MemBudget: 1, SpillDir: dir,
+			Backend: statecodec.Backend{Open: rec.open},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(rec.gens) < 5 {
+			t.Fatalf("workers=%d: only %d generation files written", workers, len(rec.gens))
+		}
+		if i == 0 {
+			want = rec.gens
+			continue
+		}
+		if !maps.Equal(rec.gens, want) {
+			t.Fatalf("run %d (workers=%d): generation files differ from the first run:\n%v\nvs\n%v", i, workers, rec.gens, want)
+		}
+		requireEmptyDir(t, dir, fmt.Sprintf("run %d", i))
+	}
+}
+
+// lateFaultProgram is a counter whose increment faults once the count
+// reaches 4: the fault sits several BFS levels deep, after the spilling
+// store has flushed generations.
+func lateFaultProgram() *machine.Program {
+	return &machine.Program{
+		Name:    "late-fault",
+		Globals: machine.Schema{Names: []string{"c"}, Kinds: []machine.VarKind{machine.KVal}},
+		Methods: []machine.Method{{
+			Name: "Inc",
+			Body: []machine.Stmt{
+				{Label: "L1", Exec: func(c *machine.Ctx) { c.Goto(1) }},
+				{Label: "L2", Exec: func(c *machine.Ctx) {
+					if c.V(0) >= 4 {
+						panic("counter overflow")
+					}
+					c.SetV(0, c.V(0)+1)
+					c.Return(machine.ValOK)
+				}},
+			},
+		}},
+	}
+}
+
+// TestSpillCleanupOnFault checks that a program fault several levels
+// deep fails the exploration with the same *machine.RuntimeError at
+// every worker count and budget, and that the spilling store removes
+// every file it wrote on the way out.
+func TestSpillCleanupOnFault(t *testing.T) {
+	prog := lateFaultProgram()
+	var first string
+	for _, workers := range []int{1, 2, 8} {
+		for _, budget := range []int64{0, 1} {
+			rec := &genRecorder{gens: map[string]string{}}
+			dir := t.TempDir()
+			_, err := machine.Explore(prog, machine.Options{
+				Threads: 3, Ops: 2, Workers: workers, MemBudget: budget, SpillDir: dir,
+				Backend: statecodec.Backend{Open: rec.open},
+			})
+			var re *machine.RuntimeError
+			if !errors.As(err, &re) || re.Method != "Inc" || re.Label != "L2" || re.Value != "counter overflow" {
+				t.Fatalf("workers=%d budget=%d: err = %v, want the counter overflow at Inc.L2", workers, budget, err)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("workers=%d budget=%d: error %q differs from %q", workers, budget, err, first)
+			}
+			if budget > 0 && len(rec.gens) == 0 {
+				t.Fatalf("workers=%d: nothing spilled before the fault", workers)
+			}
+			requireEmptyDir(t, dir, fmt.Sprintf("workers=%d budget=%d after a fault", workers, budget))
+		}
+	}
+	t.Log(first)
 }
 
 // benchExplore is the shared benchmark body.

@@ -59,6 +59,9 @@ type canonicalizer struct {
 	old2new []int32
 	order   []int32 // old indices in assignment order
 	newHeap []Node
+	// live is one past the last cell the latest run kept: every cell at
+	// or above it is empty, which bounds the codec's watermark search.
+	live int
 }
 
 func newCanonicalizer(p *Program, heapLen int) *canonicalizer {
@@ -120,6 +123,7 @@ func (c *canonicalizer) run(st *state) {
 		c.newHeap[c.old2new[old]] = n
 	}
 	live := int(next)
+	c.live = live
 	for i := live; i < len(c.newHeap); i++ {
 		c.newHeap[i] = Node{}
 	}

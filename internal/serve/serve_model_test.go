@@ -161,7 +161,9 @@ method Push(v: vals) {
 method Pop() { P9: return empty }
 `,
 		ModelName: "broken.bbvl",
-		Threads:   1, Ops: 1, Workers: 1,
+		// Two exploration workers: the fault happens on a worker
+		// goroutine and must still fail only this job.
+		Threads: 1, Ops: 1, Workers: 2,
 	}, http.StatusAccepted)
 	view = pollDone(t, hs.URL, view.ID)
 	if view.Status != StatusFailed {

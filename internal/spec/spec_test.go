@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -187,14 +188,22 @@ func TestRegisterSpecs(t *testing.T) {
 	}
 }
 
+// TestCapacityPanics checks that overflowing a mis-sized specification
+// queue fails the exploration with a typed runtime error naming the
+// capacity check, at one worker and at several (the panic happens on a
+// worker goroutine), instead of crashing the process.
 func TestCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overflowing the spec queue must panic (mis-sized instance)")
-		}
-	}()
 	q := Queue([]int32{1}, 1)
-	_, _ = machine.Explore(q, machine.Options{Threads: 1, Ops: 3})
+	for _, workers := range []int{0, 1, 2} {
+		_, err := machine.Explore(q, machine.Options{Threads: 1, Ops: 3, Workers: workers})
+		var re *machine.RuntimeError
+		if !errors.As(err, &re) {
+			t.Fatalf("workers=%d: overflowing the spec queue returned %v, want a *machine.RuntimeError", workers, err)
+		}
+		if !strings.Contains(err.Error(), "queue capacity exceeded") {
+			t.Errorf("workers=%d: error %q does not name the capacity check", workers, err)
+		}
+	}
 }
 
 func TestBoolRendering(t *testing.T) {

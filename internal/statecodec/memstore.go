@@ -1,57 +1,13 @@
 package statecodec
 
-import (
-	"sync"
-	"sync/atomic"
-	"unsafe"
-)
-
-// numShards is the number of intern-table lock stripes; a power of two
-// so shard selection is a mask. The hash only picks the stripe — it
-// never influences the produced LTS.
-const numShards = 64
-
-// entryOverhead approximates the resident bookkeeping cost of one hot
-// entry beyond its key bytes (Entry struct, map bucket share, pointer).
-// Shared with the spilling statestore so resident telemetry is
-// comparable across implementations.
-const entryOverhead = 56
-
-// byteString views b as a string without copying; interned keys are
-// write-once.
-func byteString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// Hash64 is FNV-1a over b. Store implementations share it so shard
-// assignment (never state identity) is uniform across backends.
-func Hash64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-type memShard struct {
-	mu  sync.Mutex
-	hot map[string]*Entry
-	_   [24]byte // pad to a cache line so shard locks don't false-share
-}
-
 // memStore is the pure in-memory Store: every interned key and every
 // frontier level stays resident. It is the default backend of the
 // explorer and the only one available to core-layer consumers (the
 // library facade without platform wiring, the wasm playground); the
 // spilling statestore produces byte-identical LTSs beyond RAM.
 type memStore struct {
-	shards [numShards]memShard
-
-	resident      atomic.Int64
-	peakResident  atomic.Int64
-	interned      atomic.Int64
-	internedBytes atomic.Int64
+	meter Meter
+	table *Table
 
 	cur  *memLevel
 	next *memLevel
@@ -61,43 +17,20 @@ type memStore struct {
 // MemBudget and Dir are ignored: nothing ever leaves RAM and no
 // filesystem path is touched.
 func OpenMem(Config) (Store, error) {
-	s := &memStore{}
-	for i := range s.shards {
-		s.shards[i].hot = make(map[string]*Entry)
-	}
-	s.next = &memLevel{}
+	s := &memStore{next: &memLevel{}}
+	s.table = NewTable(&s.meter, nil)
 	return s, nil
-}
-
-func (s *memStore) addResident(delta int64) {
-	r := s.resident.Add(delta)
-	for {
-		p := s.peakResident.Load()
-		if r <= p || s.peakResident.CompareAndSwap(p, r) {
-			return
-		}
-	}
 }
 
 // Intern returns the reference for key, creating an unnumbered resident
 // entry (ID == -1) on first sight. Safe for concurrent use; the key
 // buffer may be reused by the caller after the call returns.
 func (s *memStore) Intern(key []byte) Ref {
-	sh := &s.shards[Hash64(key)&(numShards-1)]
-	sh.mu.Lock()
-	if e, ok := sh.hot[byteString(key)]; ok {
-		sh.mu.Unlock()
-		return Ref{Ent: e}
-	}
-	kc := append([]byte(nil), key...)
-	e := &Entry{ID: -1, Key: kc}
-	sh.hot[byteString(kc)] = e
-	sh.mu.Unlock()
-	s.interned.Add(1)
-	s.internedBytes.Add(int64(len(kc)))
-	s.addResident(int64(len(kc)) + entryOverhead)
-	return Ref{Ent: e}
+	return s.table.Intern(Hash(key), key)
 }
+
+// Key returns the encoded state of a resident entry.
+func (s *memStore) Key(e *Entry) []byte { return s.table.Key(e) }
 
 // memLevel is one BFS frontier level, entirely resident: key bytes
 // back to back in buf, with cumulative end offsets (one per key).
@@ -135,20 +68,23 @@ func (s *memStore) PushFrontier(key []byte) error {
 	b.buf = append(b.buf, key...)
 	b.offs = append(b.offs, int64(len(b.buf)))
 	b.n++
-	s.addResident(int64(len(key)))
 	return nil
 }
 
 // NextLevel seals the level under construction for reading and releases
 // the previously returned level. Single-threaded (explorer loop only).
 func (s *memStore) NextLevel() (Level, error) {
-	if s.cur != nil {
-		s.addResident(-int64(len(s.cur.buf)))
-		s.cur.buf = nil
-		s.cur = nil
+	// Frontier bytes are metered per sealed level rather than per push:
+	// pushes are the merge's hottest store call, and nothing reads the
+	// meter in between.
+	s.meter.Add(int64(len(s.next.buf)))
+	old := s.cur
+	s.cur, s.next = s.next, &memLevel{}
+	if old != nil {
+		// The released level's buffers carry the next level.
+		s.meter.Add(-int64(len(old.buf)))
+		s.next.buf, s.next.offs = old.buf[:0], old.offs[:0]
 	}
-	s.cur = s.next
-	s.next = &memLevel{}
 	return s.cur, nil
 }
 
@@ -158,12 +94,18 @@ func (s *memStore) EndLevel() error { return nil }
 // Stats snapshots the store's telemetry; the spill counters are always
 // zero.
 func (s *memStore) Stats() Stats {
+	keys, bytes := s.table.Stats()
 	return Stats{
-		Interned:          s.interned.Load(),
-		InternedBytes:     s.internedBytes.Load(),
-		PeakResidentBytes: s.peakResident.Load(),
+		Interned:          keys,
+		InternedBytes:     bytes,
+		PeakResidentBytes: s.meter.Peak(),
 	}
 }
 
-// Close is a no-op; the store holds no resources beyond the heap.
-func (s *memStore) Close() error { return nil }
+// Close drops the table and the levels, so their memory can be
+// reclaimed while the caller still holds the store; the store holds no
+// other resources.
+func (s *memStore) Close() error {
+	s.table, s.cur, s.next = nil, nil, nil
+	return nil
+}

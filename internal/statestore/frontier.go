@@ -67,7 +67,7 @@ func (s *Store) PushFrontier(key []byte) error {
 		b.w.write(key)
 	} else {
 		b.buf = append(b.buf, key...)
-		s.addResident(int64(len(key)))
+		s.meter.Add(int64(len(key)))
 	}
 	b.size += int64(len(key))
 	b.offs = append(b.offs, b.size)
@@ -90,7 +90,7 @@ func (b *levelWriter) spill() error {
 		f.Close()
 		return fmt.Errorf("statestore: spill frontier: %w", err)
 	}
-	b.s.addResident(-int64(len(b.buf)))
+	b.s.meter.Add(-int64(len(b.buf)))
 	b.buf = nil
 	b.f = f
 	b.w = w
@@ -180,7 +180,7 @@ func (s *Store) releaseLevel(l *Level) error {
 		l.f = nil
 		return os.Remove(name)
 	}
-	s.addResident(-int64(len(l.buf)))
+	s.meter.Add(-int64(len(l.buf)))
 	l.buf = nil
 	return nil
 }

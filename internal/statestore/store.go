@@ -19,9 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/statecodec"
 )
@@ -34,23 +31,14 @@ import (
 type Config = statecodec.Config
 
 // Entry, Ref and Stats are the shared storage-contract types; see
-// statecodec. An Entry's Key holds the encoded state until the entry's
-// generation spills, at which point it lives in a generation file and
-// is no longer reachable through an Entry.
+// statecodec. Store.Key returns an Entry's encoded state until the
+// entry's generation spills, at which point it lives in a generation
+// file and is no longer reachable through an Entry.
 type (
 	Entry = statecodec.Entry
 	Ref   = statecodec.Ref
 	Stats = statecodec.Stats
 )
-
-// numShards is the number of intern-table lock stripes; a power of two
-// so shard selection is a mask. The hash only picks the stripe and the
-// generation index position — it never influences the produced LTS.
-const numShards = 64
-
-// entryOverhead approximates the resident bookkeeping cost of one hot
-// entry beyond its key bytes (Entry struct, map bucket share, pointer).
-const entryOverhead = 56
 
 // genEntryOverhead approximates the resident index cost of one spilled
 // entry (hash, offset, length, ID in the generation index arrays).
@@ -79,13 +67,6 @@ func (g *shardGen) find(h uint32, key []byte) (int32, bool) {
 	return 0, false
 }
 
-type shard struct {
-	mu   sync.Mutex
-	hot  map[string]*Entry
-	gens []shardGen // spilled generations, oldest first
-	_    [24]byte   // pad to a cache line so shard locks don't false-share
-}
-
 // generation tracks one spilled generation file for cleanup.
 type generation struct {
 	f      *os.File
@@ -102,14 +83,14 @@ type generation struct {
 // Intern calls (the level-synchronized explorer guarantees this: all
 // workers join before the merge runs).
 type Store struct {
-	cfg    Config
-	dir    string // private spill directory, created on first spill
-	shards [numShards]shard
-
-	resident      atomic.Int64
-	peakResident  atomic.Int64
-	interned      atomic.Int64
-	internedBytes atomic.Int64
+	cfg   Config
+	dir   string // private spill directory, created on first spill
+	meter statecodec.Meter
+	// table holds the hot (resident) entries; spilled[si] indexes shard
+	// si's slices of the spilled generations, oldest first. The spilled
+	// indexes change only in flushTable, which never races with Intern.
+	table   *statecodec.Table
+	spilled [statecodec.NumShards][]shardGen
 
 	gens    []generation
 	fileSeq int
@@ -125,63 +106,37 @@ type Store struct {
 // spill files; Close is safe (and cheap) when nothing ever spilled.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{cfg: cfg}
-	for i := range s.shards {
-		s.shards[i].hot = make(map[string]*Entry)
-	}
+	s.table = statecodec.NewTable(&s.meter, s.findSpilled)
 	s.next = &levelWriter{s: s}
 	return s, nil
 }
 
-// byteString views b as a string without copying; interned keys are
-// write-once.
-func byteString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// hash64 is the shared FNV-1a. The low bits pick the shard, the high
-// bits index generation entries.
-func hash64(b []byte) uint64 { return statecodec.Hash64(b) }
-
-func (s *Store) addResident(delta int64) {
-	r := s.resident.Add(delta)
-	for {
-		p := s.peakResident.Load()
-		if r <= p || s.peakResident.CompareAndSwap(p, r) {
-			return
-		}
-	}
-}
-
 func (s *Store) overBudget() bool {
-	return s.cfg.MemBudget > 0 && s.resident.Load() > s.cfg.MemBudget
+	return s.cfg.MemBudget > 0 && s.meter.Resident() > s.cfg.MemBudget
 }
 
 // Intern returns the reference for key, creating an unnumbered resident
 // entry (ID == -1) on first sight. Safe for concurrent use; the key
-// buffer may be reused by the caller after the call returns.
+// buffer may be reused by the caller after the call returns. The key is
+// hashed once; the hash picks the shard, the hot slot and the tag the
+// spilled generations are searched by.
 func (s *Store) Intern(key []byte) Ref {
-	h := hash64(key)
-	sh := &s.shards[h&(numShards-1)]
-	h32 := uint32(h >> 32)
-	sh.mu.Lock()
-	if e, ok := sh.hot[byteString(key)]; ok {
-		sh.mu.Unlock()
-		return Ref{Ent: e}
-	}
-	for gi := len(sh.gens) - 1; gi >= 0; gi-- {
-		if id, ok := sh.gens[gi].find(h32, key); ok {
-			sh.mu.Unlock()
-			return Ref{ID: id}
+	return s.table.Intern(statecodec.Hash(key), key)
+}
+
+// Key returns the encoded state of a resident entry; merge only.
+func (s *Store) Key(e *Entry) []byte { return s.table.Key(e) }
+
+// findSpilled resolves a hot-table miss against shard si's spilled
+// generations, newest first. The table calls it under the shard lock.
+func (s *Store) findSpilled(si int, tag uint32, key []byte) (int32, bool) {
+	gens := s.spilled[si]
+	for gi := len(gens) - 1; gi >= 0; gi-- {
+		if id, ok := gens[gi].find(tag, key); ok {
+			return id, true
 		}
 	}
-	kc := append([]byte(nil), key...)
-	e := &Entry{ID: -1, Key: kc}
-	sh.hot[byteString(kc)] = e
-	sh.mu.Unlock()
-	s.interned.Add(1)
-	s.internedBytes.Add(int64(len(kc)))
-	s.addResident(int64(len(kc)) + entryOverhead)
-	return Ref{Ent: e}
+	return 0, false
 }
 
 // ensureDir creates the store's private spill directory on first use.
@@ -219,63 +174,83 @@ func (s *Store) newSpillFile(prefix string) (*os.File, error) {
 }
 
 // flushTable spills every hot intern-table entry into one new
-// append-only generation file and replaces the hot maps with compact
+// append-only generation file and replaces the hot shards with compact
 // sorted indexes over the mmap'd file. Must only run at a level
 // boundary: every hot entry must carry an assigned ID, because after
-// the flush the key bytes are reachable only through the file.
+// the flush the key bytes are reachable only through the file. Keys are
+// written in ID order, so a generation file is a function of the
+// explored program alone — the same bytes for every run and every
+// worker count.
 func (s *Store) flushTable() error {
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	var counts [statecodec.NumShards]int
+	for si := range counts {
+		var bad bool
+		s.table.Each(si, func(e *Entry) {
+			if e.ID < 0 {
+				bad = true
+			}
+			lo, hi = min(lo, e.ID), max(hi, e.ID)
+			counts[si]++
+		})
+		if bad {
+			return fmt.Errorf("statestore: internal error: flushing unnumbered entry")
+		}
+	}
+	if hi < lo {
+		return nil
+	}
+	byID := make([]*Entry, hi-lo+1)
+	shardOf := make([]uint8, hi-lo+1)
+	for si := 0; si < statecodec.NumShards; si++ {
+		var dup bool
+		s.table.Each(si, func(e *Entry) {
+			if byID[e.ID-lo] != nil {
+				dup = true
+			}
+			byID[e.ID-lo], shardOf[e.ID-lo] = e, uint8(si)
+		})
+		if dup {
+			return fmt.Errorf("statestore: internal error: flushing two entries with one ID")
+		}
+	}
 	f, err := s.newSpillFile("gen")
 	if err != nil {
 		return err
 	}
 	w := newSpillWriter(f)
-	var off int64
-	var freedBytes int64
-	var spilled int64
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		n := len(sh.hot)
-		if n == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		sg := shardGen{
+	var sgs [statecodec.NumShards]shardGen
+	for si, n := range counts {
+		sgs[si] = shardGen{
 			hashes: make([]uint32, 0, n),
 			offs:   make([]uint32, 0, n),
 			lens:   make([]uint16, 0, n),
 			ids:    make([]int32, 0, n),
 		}
-		for _, e := range sh.hot {
-			if e.ID < 0 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: internal error: flushing unnumbered entry")
-			}
-			if len(e.Key) > math.MaxUint16 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(e.Key))
-			}
-			if off+int64(len(e.Key)) > math.MaxUint32 {
-				sh.mu.Unlock()
-				f.Close()
-				return fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
-			}
-			w.write(e.Key)
-			sg.hashes = append(sg.hashes, uint32(hash64(e.Key)>>32))
-			sg.offs = append(sg.offs, uint32(off))
-			sg.lens = append(sg.lens, uint16(len(e.Key)))
-			sg.ids = append(sg.ids, e.ID)
-			off += int64(len(e.Key))
-			freedBytes += int64(len(e.Key)) + entryOverhead
-			e.Key = nil
+	}
+	var off int64
+	var spilled int64
+	for i, e := range byID {
+		if e == nil {
+			continue
 		}
-		spilled += int64(n)
-		sortShardGen(&sg)
-		sh.gens = append(sh.gens, sg)
-		sh.hot = make(map[string]*Entry)
-		sh.mu.Unlock()
+		key := s.table.Key(e)
+		if len(key) > math.MaxUint16 {
+			f.Close()
+			return fmt.Errorf("statestore: state encoding of %d bytes exceeds generation record limit", len(key))
+		}
+		if off+int64(len(key)) > math.MaxUint32 {
+			f.Close()
+			return fmt.Errorf("statestore: generation file exceeds 4 GiB; use a larger memory budget")
+		}
+		w.write(key)
+		sg := &sgs[shardOf[i]]
+		sg.hashes = append(sg.hashes, e.Tag())
+		sg.offs = append(sg.offs, uint32(off))
+		sg.lens = append(sg.lens, uint16(len(key)))
+		sg.ids = append(sg.ids, e.ID)
+		off += int64(len(key))
+		spilled++
 	}
 	if err := w.flush(); err != nil {
 		f.Close()
@@ -287,16 +262,17 @@ func (s *Store) flushTable() error {
 		return fmt.Errorf("statestore: map generation: %w", err)
 	}
 	s.gens = append(s.gens, generation{f: f, data: data, mapped: mapped})
-	// Point this flush's shard indexes at the mapped file.
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		if n := len(sh.gens); n > 0 && sh.gens[n-1].data == nil {
-			sh.gens[n-1].data = data
+	for si := range sgs {
+		sg := &sgs[si]
+		if len(sg.ids) == 0 {
+			continue
 		}
-		sh.mu.Unlock()
+		sg.data = data
+		sortShardGen(sg)
+		s.spilled[si] = append(s.spilled[si], *sg)
+		s.table.Reset(si)
 	}
-	s.addResident(genEntryOverhead*spilled - freedBytes)
+	s.meter.Add(genEntryOverhead * spilled)
 	s.stats.TableFlushes++
 	return nil
 }
@@ -309,24 +285,14 @@ func (s *Store) EndLevel() error {
 	if !s.overBudget() {
 		return nil
 	}
-	hot := int64(0)
-	for si := range s.shards {
-		s.shards[si].mu.Lock()
-		hot += int64(len(s.shards[si].hot))
-		s.shards[si].mu.Unlock()
-	}
-	if hot == 0 {
-		return nil
-	}
 	return s.flushTable()
 }
 
 // Stats snapshots the store's telemetry.
 func (s *Store) Stats() Stats {
 	st := s.stats
-	st.Interned = s.interned.Load()
-	st.InternedBytes = s.internedBytes.Load()
-	st.PeakResidentBytes = s.peakResident.Load()
+	st.Interned, st.InternedBytes = s.table.Stats()
+	st.PeakResidentBytes = s.meter.Peak()
 	return st
 }
 
@@ -339,6 +305,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.table, s.spilled = nil, [statecodec.NumShards][]shardGen{}
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {

@@ -1,7 +1,6 @@
 package vet_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bisim"
@@ -20,19 +19,6 @@ import (
 // hard cases: fresh and published pointers, field accesses through
 // shared bases (which may fault), CAS on globals and fields, small
 // heaps that can exhaust, branches with falling paths, and goto cycles.
-
-// exploreSafe runs a full exploration but converts runtime faults of
-// the random program (nil dereferences panic with a positioned error)
-// into a skip signal instead of crashing the test.
-func exploreSafe(p *machine.Program, opt machine.Options) (l *lts.LTS, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("fault: %v", r)
-		}
-	}()
-	l, _, err = machine.ExploreWithInfo(p, opt)
-	return l, err
-}
 
 // TestIndependencePropertyRandomized: 200 seeds, every declared
 // independence dynamically validated over the full pilot state space.
@@ -68,12 +54,12 @@ func TestIndependencePropertyRandomized(t *testing.T) {
 			continue
 		}
 		acts, labels := lts.NewAlphabet(), lts.NewAlphabet()
-		full, err := exploreSafe(p, machine.Options{
+		full, err := machine.Explore(p, machine.Options{
 			Threads: 2, Ops: 2, MaxStates: 50000, Acts: acts, Labels: labels})
 		if err != nil {
-			continue // faulting or over-budget program: nothing to compare
+			continue // faulting (*machine.RuntimeError) or over-budget program: nothing to compare
 		}
-		reduced, err := exploreSafe(p, machine.Options{
+		reduced, err := machine.Explore(p, machine.Options{
 			Threads: 2, Ops: 2, MaxStates: 50000, Acts: acts, Labels: labels, Reduction: red})
 		if err != nil {
 			t.Errorf("seed %d: reduced exploration failed where full succeeded: %v", seed, err)
